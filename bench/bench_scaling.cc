@@ -160,10 +160,10 @@ bool RunScenario(BenchReporter* reporter, const std::string& scenario,
     reporter->Row(std::move(row));
     if (threads == 1) {
       // Pure dispatch overhead of the morsel path: same serial hardware
-      // budget, but work flows through morsel carving, the context pool,
-      // and the L1 flush barriers. Host-independent (a ratio of two runs
-      // in this process), so this row carries no hardware_cores and the
-      // gate checks it on every machine.
+      // budget, but work flows through morsel carving, per-morsel
+      // sub-evaluators and the ordered merge. Host-independent (a ratio
+      // of two runs in this process), so this row carries no
+      // hardware_cores and the gate checks it on every machine.
       double overhead =
           serial.seconds > 0 ? run.seconds / serial.seconds : 0;
       std::printf("%-12s morsel overhead at 1 thread: %.2fx\n",

@@ -187,24 +187,25 @@ Catalog Catalog::CloneWithSampledTables(double fraction, uint64_t seed) const {
   return clone;
 }
 
-double TokenJaccard(const std::string& a, const std::string& b) {
-  auto tokenize = [](const std::string& s) {
-    std::set<std::string> out;
-    std::string cur;
-    for (char c : s) {
-      if (std::isalnum(static_cast<unsigned char>(c))) {
-        cur.push_back(
-            static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-      } else if (!cur.empty()) {
-        out.insert(cur);
-        cur.clear();
-      }
+std::set<std::string> JaccardTokens(const std::string& s) {
+  std::set<std::string> out;
+  std::string cur;
+  for (char c : s) {
+    if (std::isalnum(static_cast<unsigned char>(c))) {
+      cur.push_back(
+          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    } else if (!cur.empty()) {
+      out.insert(cur);
+      cur.clear();
     }
-    if (!cur.empty()) out.insert(cur);
-    return out;
-  };
-  std::set<std::string> ta = tokenize(a);
-  std::set<std::string> tb = tokenize(b);
+  }
+  if (!cur.empty()) out.insert(cur);
+  return out;
+}
+
+double TokenJaccard(const std::string& a, const std::string& b) {
+  std::set<std::string> ta = JaccardTokens(a);
+  std::set<std::string> tb = JaccardTokens(b);
   if (ta.empty() && tb.empty()) return 1.0;
   size_t inter = 0;
   for (const auto& t : ta) inter += tb.count(t);

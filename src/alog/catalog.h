@@ -125,6 +125,10 @@ class Catalog {
 /// tests and for the similar-join operator.
 double TokenJaccard(const std::string& a, const std::string& b);
 
+/// The token set TokenJaccard compares: the lowercased alphanumeric
+/// tokens of `s`.
+std::set<std::string> JaccardTokens(const std::string& s);
+
 }  // namespace iflex
 
 #endif  // IFLEX_ALOG_CATALOG_H_

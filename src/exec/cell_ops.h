@@ -33,10 +33,10 @@ struct CellOpLimits {
 
 /// A constraint with its feature procedure resolved and its memo key base
 /// interned up front, so applying it to a cell pays no registry or
-/// interner lookups. The interpreter prepares per call (same work it
-/// always did); the rule compiler prepares once per (program, corpus)
-/// epoch and reuses the prepared form for every tuple
-/// (docs/PERFORMANCE.md, "Rule compilation").
+/// interner lookups. The interpreter prepares once per constraint pass;
+/// the rule compiler prepares once per (program, corpus) epoch and reuses
+/// the prepared form for every tuple (docs/PERFORMANCE.md, "Rule
+/// compilation").
 struct PreparedConstraint {
   ConstraintLit lit;
   const Feature* feature = nullptr;
@@ -56,27 +56,17 @@ Result<PreparedConstraint> PrepareConstraint(const Corpus& corpus,
                                              const ConstraintLit& k,
                                              bool want_memo);
 
-/// ApplyConstraintToCell over pre-resolved state: identical narrowing,
-/// identical memo lookups, no per-call feature/interner work. `history`
-/// holds the previously applied constraints for the same attribute in
-/// application order (paper §4.2 re-check).
+/// Applies the prepared domain constraint `k` to `cell` (paper §4.2):
+/// exact assignments go through Verify, contain assignments through
+/// Refine, and every refined assignment is re-checked against `history`,
+/// the constraints previously applied to the same attribute in
+/// application order. Preserves the expansion flag. With `memo` non-null
+/// (the session's VerifyMemo), Verify/VerifyText verdicts are served from
+/// and recorded into it instead of re-running the feature procedures.
 Cell ApplyPreparedConstraintToCell(
     const Corpus& corpus, const PreparedConstraint& k,
     const std::vector<PreparedConstraint>& history, const Cell& cell,
-    VerifyMemoL1* memo);
-
-/// Applies the domain constraint `k` to `cell` (paper §4.2): exact
-/// assignments go through Verify, contain assignments through Refine, and
-/// every refined assignment is re-checked against the previously applied
-/// constraints `history` for this attribute. Preserves the expansion flag.
-/// With `memo` non-null (a worker's VerifyMemoL1 bound to the session
-/// memo), Verify/VerifyText verdicts are served from (and recorded into)
-/// the memo tiers instead of re-running the feature procedures.
-Result<Cell> ApplyConstraintToCell(const Corpus& corpus,
-                                   const FeatureRegistry& features,
-                                   const Cell& cell, const ConstraintLit& k,
-                                   const std::vector<ConstraintLit>& history,
-                                   VerifyMemoL1* memo = nullptr);
+    VerifyMemo* memo);
 
 /// Evaluates `lhs op (rhs + rhs_offset)` over all possible value pairs of
 /// two cells (either may be a 1-value "constant cell"). Overflowing the

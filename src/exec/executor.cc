@@ -111,6 +111,26 @@ bool AppendCellKey(const Cell& cell, StringInterner& interner, bool intern_new,
   return true;
 }
 
+/// Reusable enumeration buffers for the per-tuple filter hot path
+/// (RuleEvaluator::EvalFilter). One EvalFilter call enumerates every
+/// argument cell into a vector-of-vectors and walks the cross product;
+/// allocating those per call dominated the p-function profile, so each
+/// evaluator keeps one scratch set warm across every tuple it filters.
+struct EvalScratch {
+  std::vector<std::vector<Value>> arg_values;
+  std::vector<size_t> idx;
+  std::vector<Value> args;
+
+  /// Readies the first `n_args` argument buffers (cleared, capacity kept).
+  void Prepare(size_t n_args) {
+    if (arg_values.size() < n_args) arg_values.resize(n_args);
+    for (size_t i = 0; i < n_args; ++i) arg_values[i].clear();
+    idx.assign(n_args, 0);
+    args.clear();
+    args.reserve(n_args);
+  }
+};
+
 // ----------------------------------------------------------- RuleEvaluator
 //
 // Evaluates one unfolded rule bottom-up over a growing "binding table":
@@ -125,15 +145,13 @@ class RuleEvaluator {
   RuleEvaluator(const Catalog& catalog, const ExecOptions& options,
                 const std::unordered_map<std::string, CompactTable>* idb,
                 const ExecCounters* stats, obs::Tracer* tracer,
-                resilience::ExecReport* report,
-                WorkerContextPool* contexts = nullptr)
+                resilience::ExecReport* report)
       : catalog_(catalog),
         options_(options),
         idb_(idb),
         stats_(stats),
         tracer_(tracer),
         report_(report),
-        contexts_(contexts),
         cost_model_(obs::CostModelOrDefault(options.cost_model)),
         event_log_(obs::EventLogOrDefault(options.event_log)),
         stop_(options.deadline, options.cancel) {}
@@ -144,22 +162,6 @@ class RuleEvaluator {
   void set_plan(const CompiledRule* plan) { plan_ = plan; }
 
   Result<CompactTable> Evaluate(const Rule& rule) {
-    // Top-level evaluation leases its own worker context for the whole
-    // rule (morsel sub-evaluators run with the context of the worker
-    // executing the morsel instead — see TryMorselBody). The release at
-    // return is the rule-level flush barrier for the memo L1.
-    if (ctx_ != nullptr || contexts_ == nullptr) {
-      return EvaluateWithContext(rule);
-    }
-    WorkerContextLease lease(contexts_);
-    ctx_ = lease.get();
-    Result<CompactTable> out = EvaluateWithContext(rule);
-    ctx_ = nullptr;
-    return out;
-  }
-
- private:
-  Result<CompactTable> EvaluateWithContext(const Rule& rule) {
     obs::TraceSpan span(tracer_, "exec.rule", rule.head.predicate);
     scope_ = rule.head.predicate;
     stats_->rules_evaluated->Add();
@@ -269,6 +271,23 @@ class RuleEvaluator {
     return Status::OK();
   }
 
+  // The table a morsel seed join over `pred` would carve: the stored table
+  // or the already computed intensional one, when it has 2+ tuples. Null
+  // means "not morsel-able" (the serial path runs and reports any error).
+  Result<const CompactTable*> MorselSeedTable(const std::string& pred) {
+    auto kind = catalog_.KindOf(pred);
+    PredicateKind k = kind.ok() ? *kind : PredicateKind::kIntensional;
+    const CompactTable* table = nullptr;
+    if (k == PredicateKind::kExtensional) {
+      IFLEX_ASSIGN_OR_RETURN(table, catalog_.Table(pred));
+    } else if (k == PredicateKind::kIntensional) {
+      auto it = idb_->find(pred);
+      if (it != idb_->end()) table = &it->second;
+    }
+    if (table != nullptr && table->size() < 2) table = nullptr;
+    return table;
+  }
+
   // Morsel-driven body evaluation (docs/RUNTIME.md). When a pool is
   // available and the first literal the planner would pick is a
   // stored/intensional join seeding the empty binding, carve that table
@@ -276,9 +295,9 @@ class RuleEvaluator {
   // each) and let TaskPool participants pull them one at a time from the
   // shared batch cursor: a straggler morsel (huge document, irregular
   // cells) delays only itself, never a coarse shard's worth of siblings.
-  // Each morsel runs "seed join + remaining pipeline" with a leased
-  // WorkerContext (warm scratch buffers + memo L1, flushed at the morsel
-  // boundary), and the morsel bindings are concatenated in morsel order.
+  // Each morsel runs "seed join + remaining pipeline" on a sub-evaluator
+  // of its own (sharing the session's VerifyMemo), and the morsel
+  // bindings are concatenated in morsel order.
   // Every later operator is per-tuple and literal selection depends only
   // on the bound-column set (identical across morsels), so the
   // concatenation equals the serial binding table tuple for tuple;
@@ -300,19 +319,9 @@ class RuleEvaluator {
     if (best == SIZE_MAX) return false;  // serial path reports the error
     const Literal& lit = (*pending)[best];
     if (lit.kind != Literal::Kind::kAtom) return false;
-    auto kind = catalog_.KindOf(lit.atom.predicate);
-    PredicateKind k = kind.ok() ? *kind : PredicateKind::kIntensional;
-    const CompactTable* table = nullptr;
-    if (k == PredicateKind::kExtensional) {
-      IFLEX_ASSIGN_OR_RETURN(table, catalog_.Table(lit.atom.predicate));
-    } else if (k == PredicateKind::kIntensional) {
-      auto it = idb_->find(lit.atom.predicate);
-      if (it == idb_->end()) return false;  // serial path reports the error
-      table = &it->second;
-    } else {
-      return false;
-    }
-    if (table->size() < 2) return false;
+    IFLEX_ASSIGN_OR_RETURN(const CompactTable* table,
+                           MorselSeedTable(lit.atom.predicate));
+    if (table == nullptr) return false;
 
     Atom seed = lit.atom;
     pending->erase(pending->begin() + static_cast<ptrdiff_t>(best));
@@ -333,19 +342,9 @@ class RuleEvaluator {
       return false;
     }
     const Atom& seed = plan_->ops.front().atom;
-    auto kind = catalog_.KindOf(seed.predicate);
-    PredicateKind k = kind.ok() ? *kind : PredicateKind::kIntensional;
-    const CompactTable* table = nullptr;
-    if (k == PredicateKind::kExtensional) {
-      IFLEX_ASSIGN_OR_RETURN(table, catalog_.Table(seed.predicate));
-    } else if (k == PredicateKind::kIntensional) {
-      auto it = idb_->find(seed.predicate);
-      if (it == idb_->end()) return false;  // serial path reports the error
-      table = &it->second;
-    } else {
-      return false;  // unreachable: seed_join implies a stored join
-    }
-    if (table->size() < 2) return false;
+    IFLEX_ASSIGN_OR_RETURN(const CompactTable* table,
+                           MorselSeedTable(seed.predicate));
+    if (table == nullptr) return false;
     IFLEX_RETURN_NOT_OK(RunMorsels(rule, seed, *table, nullptr));
     return true;
   }
@@ -376,18 +375,16 @@ class RuleEvaluator {
     };
 
     // Seed-join + remaining pipeline (or plan suffix) over the seed
-    // tuples in [lo, hi), running with the worker's leased context (warm
-    // scratch + memo L1).
-    auto eval_range = [&](size_t lo, size_t hi, WorkerContext* ctx) {
+    // tuples in [lo, hi), on a sub-evaluator of its own.
+    auto eval_range = [&](size_t lo, size_t hi) {
       MorselOut out;
       out.status = resilience::FailPointStatus("exec.shard");
       if (!out.status.ok()) return out;
       CompactTable slice(table.schema());
       for (size_t j = lo; j < hi; ++j) slice.Add(table.tuples()[j]);
       RuleEvaluator sub(catalog_, options_, idb_, stats_, tracer_,
-                        &out.report, contexts_);
+                        &out.report);
       sub.scope_ = scope_;  // morsels charge the same rule
-      sub.ctx_ = ctx;
       sub.plan_ = plan_;
       sub.binding_ = CompactTable(std::vector<std::string>{});
       sub.binding_.Add(CompactTuple{});
@@ -406,20 +403,18 @@ class RuleEvaluator {
 
     // One morsel; under best-effort a failing morsel is retried seed
     // tuple by seed tuple, so a single poisoned document drops only
-    // itself (recorded in the report) instead of its whole morsel. The
-    // lease's release is the morsel-boundary flush of the memo L1.
+    // itself (recorded in the report) instead of its whole morsel.
     auto eval_morsel = [&](size_t mi) {
-      WorkerContextLease lease(contexts_);
       size_t lo = mi * morsel_docs;
       size_t hi = std::min(n, lo + morsel_docs);
-      MorselOut out = eval_range(lo, hi, lease.get());
+      MorselOut out = eval_range(lo, hi);
       if (out.status.ok() || !options_.best_effort || out.status.IsStop()) {
         return out;
       }
       MorselOut iso;
       iso.status = Status::OK();
       for (size_t j = lo; j < hi; ++j) {
-        MorselOut one = eval_range(j, j + 1, lease.get());
+        MorselOut one = eval_range(j, j + 1);
         iso.report.Merge(one.report);
         if (one.status.IsStop()) {
           iso.status = one.status;
@@ -634,7 +629,7 @@ class RuleEvaluator {
   Status RunConstraintChain(const CompiledOp& op) {
     obs::TraceSpan span(tracer_, "exec.constraint_chain");
     const Corpus& corpus = catalog_.corpus();
-    VerifyMemoL1* memo = ctx_ != nullptr ? ctx_->memo() : nullptr;
+    VerifyMemo* memo = options_.verify_memo;
     const size_t n = op.chain.size();
     std::vector<size_t> cols(n);
     for (size_t i = 0; i < n; ++i) {
@@ -869,12 +864,10 @@ class RuleEvaluator {
     IFLEX_ASSIGN_OR_RETURN(const PFunctionFn* fn,
                            catalog_.PFunction(atom.predicate));
     const size_t n_args = atom.args.size();
-    // Enumeration buffers come from the worker context when one is leased
-    // (warm across every tuple of a morsel); local_scratch_ otherwise.
-    // Only the first n_args entries of arg_values are live this call.
-    EvalScratch* scratch = ctx_ != nullptr ? &ctx_->scratch : &local_scratch_;
-    scratch->Prepare(n_args);
-    std::vector<std::vector<Value>>& arg_values = scratch->arg_values;
+    // Enumeration buffers stay warm across every tuple this evaluator
+    // filters. Only the first n_args entries of arg_values are live.
+    scratch_.Prepare(n_args);
+    std::vector<std::vector<Value>>& arg_values = scratch_.arg_values;
     bool complete = true;
     for (size_t i = 0; i < n_args; ++i) {
       Cell c = cell_for(atom.args[i]);
@@ -890,8 +883,8 @@ class RuleEvaluator {
     }
     bool any = false;
     bool all = true;
-    std::vector<size_t>& idx = scratch->idx;
-    std::vector<Value>& args = scratch->args;
+    std::vector<size_t>& idx = scratch_.idx;
+    std::vector<Value>& args = scratch_.args;
     while (true) {
       args.clear();
       for (size_t i = 0; i < n_args; ++i) {
@@ -1329,24 +1322,25 @@ class RuleEvaluator {
                         options_.cost_iteration);
     if (cost.active()) cost.cost()->docs = DistinctDocs();
     const Corpus& corpus = catalog_.corpus();
+    VerifyMemo* memo = options_.verify_memo;
+    IFLEX_ASSIGN_OR_RETURN(
+        PreparedConstraint pk,
+        PrepareConstraint(corpus, catalog_.features(), k, memo != nullptr));
     size_t col = columns_.at(k.var);
-    std::vector<ConstraintLit>& hist = history_[k.var];
+    std::vector<PreparedConstraint>& hist = history_[k.var];
     CompactTable out(binding_.schema());
     for (const CompactTuple& b : binding_.tuples()) {
       stats_->constraint_cells->Add();
       if (cost.active()) ++cost.cost()->verify_calls;
       IFLEX_RETURN_NOT_OK(stop_.Poll("Execute"));
-      IFLEX_ASSIGN_OR_RETURN(
-          Cell cell,
-          ApplyConstraintToCell(corpus, catalog_.features(), b.cells[col], k,
-                                hist,
-                                ctx_ != nullptr ? ctx_->memo() : nullptr));
+      Cell cell =
+          ApplyPreparedConstraintToCell(corpus, pk, hist, b.cells[col], memo);
       if (cell.assignments.empty()) continue;  // no value can satisfy k
       CompactTuple merged = b;
       merged.cells[col] = std::move(cell);
       out.Add(std::move(merged));
     }
-    hist.push_back(k);
+    hist.push_back(std::move(pk));
     binding_ = std::move(out);
     if (cost.active()) cost.cost()->rows = binding_.size();
     return Status::OK();
@@ -1659,13 +1653,7 @@ class RuleEvaluator {
   const ExecCounters* stats_;
   obs::Tracer* tracer_;
   resilience::ExecReport* report_;
-  // Shared freelist of per-worker state (owned by the Executor) and the
-  // context this evaluation runs with: leased by Evaluate for a whole
-  // top-level rule, or assigned by TryMorselBody per morsel. Null context
-  // falls back to local_scratch_ and the no-memo path.
-  WorkerContextPool* contexts_ = nullptr;
-  WorkerContext* ctx_ = nullptr;
-  EvalScratch local_scratch_;
+  EvalScratch scratch_;
   obs::CostModel* cost_model_;
   obs::EventLog* event_log_;
   // Attribution scope: the head predicate of the rule being evaluated.
@@ -1675,7 +1663,7 @@ class RuleEvaluator {
 
   CompactTable binding_;
   std::unordered_map<std::string, size_t> columns_;
-  std::unordered_map<std::string, std::vector<ConstraintLit>> history_;
+  std::unordered_map<std::string, std::vector<PreparedConstraint>> history_;
   // Latched by OverBudget in best-effort mode: once an output table hit
   // the cap, enumeration loops stop adding to it.
   bool budget_exhausted_ = false;
@@ -2022,15 +2010,6 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
                                                ReuseCache* cache) {
   obs::TraceSpan exec_span(tracer_, "exec.execute", program.query());
 
-  // New execution epoch: worker contexts acquired during this Execute bind
-  // their memo L1s to the session memo and drop any state cached from a
-  // previous Execute (the memo may have been cleared in between).
-  contexts_.BeginEpoch(options_.verify_memo);
-  // Write-back front for the shared reuse cache: lookups check the
-  // pending batch then the striped cache; inserts buffer locally and
-  // publish once at the end of this Execute (one lock pass per stripe).
-  ReuseCacheL1 cache_l1(cache);
-
   IFLEX_ASSIGN_OR_RETURN(Program unfolded, program.Unfold(catalog_));
   std::unordered_map<std::string, std::vector<const Rule*>> by_head;
   for (const Rule& r : unfolded.rules()) {
@@ -2056,7 +2035,7 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     IFLEX_RETURN_NOT_OK(stop.Check("Execute"));
     uint64_t fp = PredicateFingerprint(pred, by_head, &fp_memo);
     if (cache != nullptr) {
-      const CompactTable* hit = cache_l1.Lookup(fp);
+      const CompactTable* hit = cache->Lookup(fp);
       if (hit != nullptr) {
         counters_.cache_hits->Add();
         idb.emplace(pred, *hit);
@@ -2122,7 +2101,7 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
           runtime::ParallelMap<Result<CompactTable>>(
               options_.pool, rules.size(), [&](size_t i) {
                 RuleEvaluator eval(catalog_, options_, &idb, &counters_,
-                                   tracer_, &reports[i], &contexts_);
+                                   tracer_, &reports[i]);
                 eval.set_plan(plans[i]);
                 return eval.Evaluate(*rules[i]);
               });
@@ -2133,7 +2112,7 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     } else {
       for (size_t i = 0; i < rules.size(); ++i) {
         RuleEvaluator eval(catalog_, options_, &idb, &counters_, tracer_,
-                           report_, &contexts_);
+                           report_);
         eval.set_plan(plans[i]);
         IFLEX_RETURN_NOT_OK(merge_rule(*rules[i], eval.Evaluate(*rules[i])));
       }
@@ -2148,7 +2127,7 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     // only — caching it would silently degrade future fault-free
     // iterations, so degraded predicates never enter the cache.
     const bool clean = report_->EventCount() == report_events_before;
-    if (cache != nullptr && clean) cache_l1.Insert(fp, result);
+    if (cache != nullptr && clean) cache->Insert(fp, result);
     idb.emplace(pred, std::move(result));
   }
   gauges.Finalize();

@@ -13,7 +13,6 @@
 #include "exec/cell_ops.h"
 #include "exec/compile.h"
 #include "exec/verify_memo.h"
-#include "exec/worker_context.h"
 #include "obs/cost_model.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
@@ -56,7 +55,7 @@ struct ExecOptions {
   /// Morsel size of the morsel-driven scheduler: how many seed tuples
   /// (≈ documents) one dynamically claimed work unit covers. Small enough
   /// that a straggler document delays only its own morsel, large enough
-  /// to amortize the per-morsel claim + context acquire + L1 flush.
+  /// to amortize the per-morsel claim and sub-evaluator set-up.
   /// Clamped to ≥ 1. Changing it never changes results, only scheduling.
   size_t morsel_docs = 128;
   /// Time bound on Execute (docs/ROBUSTNESS.md); checked cooperatively in
@@ -239,52 +238,6 @@ class ReuseCache {
   std::array<Stripe, kStripes> stripes_;
 };
 
-/// Write-back front for one Execute over a shared ReuseCache: lookups
-/// check the local pending set first (then the striped cache), and
-/// inserts buffer locally, flushing to the striped cache in one pass when
-/// the L1 is destroyed at the end of the Execute. Concurrent simulation
-/// executors thus take stripe locks O(predicates) times per Execute for
-/// reads and once per flush for writes, instead of locking per insert.
-/// Delaying publication never changes results — a peer that misses a
-/// not-yet-flushed entry recomputes the identical table (execution is
-/// deterministic) — it only trades a little duplicated work for less
-/// contention; cross-iteration reuse, the case that matters, always sees
-/// flushed entries.
-class ReuseCacheL1 {
- public:
-  /// Null `shared` makes every operation a no-op (the uncached path).
-  explicit ReuseCacheL1(ReuseCache* shared) : shared_(shared) {}
-  ~ReuseCacheL1() { Flush(); }
-  ReuseCacheL1(const ReuseCacheL1&) = delete;
-  ReuseCacheL1& operator=(const ReuseCacheL1&) = delete;
-
-  const CompactTable* Lookup(uint64_t key) const {
-    auto it = pending_.find(key);
-    if (it != pending_.end()) return it->second.get();
-    return shared_ != nullptr ? shared_->Lookup(key) : nullptr;
-  }
-  /// Buffers an insert; unique_ptr storage keeps the pointer returned by
-  /// Lookup stable across further inserts.
-  void Insert(uint64_t key, CompactTable table) {
-    if (shared_ == nullptr) return;
-    pending_.emplace(key,
-                     std::make_unique<CompactTable>(std::move(table)));
-  }
-  /// Publishes buffered entries to the shared cache; idempotent.
-  void Flush() {
-    if (shared_ == nullptr) return;
-    for (auto& [key, table] : pending_) {
-      shared_->Insert(key, std::move(*table));
-    }
-    pending_.clear();
-  }
-  size_t pending() const { return pending_.size(); }
-
- private:
-  ReuseCache* shared_;
-  std::unordered_map<uint64_t, std::unique_ptr<CompactTable>> pending_;
-};
-
 /// Evaluates Alog programs over compact tables with superset semantics
 /// (paper §4): unfolds description rules, orders intensional predicates
 /// topologically, evaluates each rule bottom-up, and applies the
@@ -328,9 +281,6 @@ class Executor {
   obs::Tracer* tracer_;
   obs::CostModel* cost_model_;
   obs::EventLog* event_log_;
-  /// Per-worker execution state (scratch buffers + memo L1), recycled
-  /// across morsels/rules via a freelist (docs/RUNTIME.md).
-  WorkerContextPool contexts_;
   /// Compiled-plan cache, one per executor: plans bake in pointers into
   /// the catalog / feature registry, whose lifetime the executor already
   /// bounds. Rule fingerprints key the (program, corpus) epoch.

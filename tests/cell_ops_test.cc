@@ -17,6 +17,10 @@ class CellOpsEdgeTest : public ::testing::Test {
     registry_ = CreateDefaultRegistry();
   }
 
+  Result<PreparedConstraint> Prepare(const ConstraintLit& k) {
+    return PrepareConstraint(corpus_, *registry_, k, /*want_memo=*/false);
+  }
+
   Corpus corpus_;
   DocId d_ = 0;
   std::unique_ptr<FeatureRegistry> registry_;
@@ -96,9 +100,10 @@ TEST_F(CellOpsEdgeTest, ConstraintDedupsIdenticalRefinements) {
   k.feature = "numeric";
   k.var = "v";
   k.value = FeatureValue::kYes;
-  auto out = ApplyConstraintToCell(corpus_, *registry_, cell, k, {});
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->assignments.size(), 1u);  // the token "42"
+  auto pk = Prepare(k);
+  ASSERT_TRUE(pk.ok());
+  Cell out = ApplyPreparedConstraintToCell(corpus_, *pk, {}, cell, nullptr);
+  EXPECT_EQ(out.assignments.size(), 1u);  // the token "42"
 }
 
 TEST_F(CellOpsEdgeTest, ConstraintOnEmptyCellStaysEmpty) {
@@ -106,9 +111,10 @@ TEST_F(CellOpsEdgeTest, ConstraintOnEmptyCellStaysEmpty) {
   ConstraintLit k;
   k.feature = "numeric";
   k.var = "v";
-  auto out = ApplyConstraintToCell(corpus_, *registry_, cell, k, {});
-  ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(out->assignments.empty());
+  auto pk = Prepare(k);
+  ASSERT_TRUE(pk.ok());
+  Cell out = ApplyPreparedConstraintToCell(corpus_, *pk, {}, cell, nullptr);
+  EXPECT_TRUE(out.assignments.empty());
 }
 
 TEST_F(CellOpsEdgeTest, ExpansionFlagSurvivesConstraint) {
@@ -116,17 +122,19 @@ TEST_F(CellOpsEdgeTest, ExpansionFlagSurvivesConstraint) {
   ConstraintLit k;
   k.feature = "numeric";
   k.var = "v";
-  auto out = ApplyConstraintToCell(corpus_, *registry_, cell, k, {});
-  ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(out->is_expansion);
+  auto pk = Prepare(k);
+  ASSERT_TRUE(pk.ok());
+  Cell out = ApplyPreparedConstraintToCell(corpus_, *pk, {}, cell, nullptr);
+  EXPECT_TRUE(out.is_expansion);
 }
 
 TEST_F(CellOpsEdgeTest, UnknownFeatureFails) {
-  Cell cell = Cell::Exact(Value::Number(1));
   ConstraintLit k;
   k.feature = "no_such_feature";
   k.var = "v";
-  EXPECT_FALSE(ApplyConstraintToCell(corpus_, *registry_, cell, k, {}).ok());
+  auto pk = Prepare(k);
+  ASSERT_FALSE(pk.ok());
+  EXPECT_EQ(pk.status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

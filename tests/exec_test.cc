@@ -101,6 +101,10 @@ class CellOpsTest : public ::testing::Test {
     registry_ = CreateDefaultRegistry();
   }
 
+  Result<PreparedConstraint> Prepare(const ConstraintLit& k) {
+    return PrepareConstraint(corpus_, *registry_, k, /*want_memo=*/false);
+  }
+
   Cell WholeDocContain() {
     Cell c;
     c.assignments.push_back(Assignment::Contain(corpus_.Get(doc_).FullSpan()));
@@ -118,38 +122,41 @@ TEST_F(CellOpsTest, ConstraintRefinesContainToExactNumbers) {
   k.feature = "numeric";
   k.var = "p";
   k.value = FeatureValue::kYes;
-  auto cell = ApplyConstraintToCell(corpus_, *registry_, WholeDocContain(), k, {});
-  ASSERT_TRUE(cell.ok());
-  ASSERT_EQ(cell->assignments.size(), 2u);  // $619,000 and 4700
-  EXPECT_TRUE(cell->assignments[0].is_exact());
+  auto pk = Prepare(k);
+  ASSERT_TRUE(pk.ok());
+  Cell cell = ApplyPreparedConstraintToCell(corpus_, *pk, {},
+                                            WholeDocContain(), nullptr);
+  ASSERT_EQ(cell.assignments.size(), 2u);  // $619,000 and 4700
+  EXPECT_TRUE(cell.assignments[0].is_exact());
 }
 
 TEST_F(CellOpsTest, ConstraintHistoryRechecked) {
   // First bold, then numeric: numeric Refine over the bold region; the
   // result must still satisfy bold (it does: $619,000 is inside bold).
-  ConstraintLit bold;
-  bold.feature = "bold_font";
-  bold.var = "p";
-  ConstraintLit numeric;
-  numeric.feature = "numeric";
-  numeric.var = "p";
-  auto after_bold =
-      ApplyConstraintToCell(corpus_, *registry_, WholeDocContain(), bold, {});
-  ASSERT_TRUE(after_bold.ok());
-  auto after_num = ApplyConstraintToCell(corpus_, *registry_, *after_bold,
-                                         numeric, {bold});
-  ASSERT_TRUE(after_num.ok());
-  ASSERT_EQ(after_num->assignments.size(), 1u);
-  EXPECT_EQ(after_num->assignments[0].value.AsText(), "$619,000");
+  ConstraintLit bold_lit;
+  bold_lit.feature = "bold_font";
+  bold_lit.var = "p";
+  ConstraintLit numeric_lit;
+  numeric_lit.feature = "numeric";
+  numeric_lit.var = "p";
+  auto bold = Prepare(bold_lit);
+  ASSERT_TRUE(bold.ok());
+  auto numeric = Prepare(numeric_lit);
+  ASSERT_TRUE(numeric.ok());
+  Cell after_bold = ApplyPreparedConstraintToCell(corpus_, *bold, {},
+                                                  WholeDocContain(), nullptr);
+  Cell after_num = ApplyPreparedConstraintToCell(corpus_, *numeric, {*bold},
+                                                 after_bold, nullptr);
+  ASSERT_EQ(after_num.assignments.size(), 1u);
+  EXPECT_EQ(after_num.assignments[0].value.AsText(), "$619,000");
 
   // Order independence (paper §4.2): numeric then bold gives the same set.
-  auto a1 = ApplyConstraintToCell(corpus_, *registry_, WholeDocContain(),
-                                  numeric, {});
-  ASSERT_TRUE(a1.ok());
-  auto a2 = ApplyConstraintToCell(corpus_, *registry_, *a1, bold, {numeric});
-  ASSERT_TRUE(a2.ok());
-  ASSERT_EQ(a2->assignments.size(), 1u);
-  EXPECT_EQ(a2->assignments[0].value.AsText(), "$619,000");
+  Cell a1 = ApplyPreparedConstraintToCell(corpus_, *numeric, {},
+                                          WholeDocContain(), nullptr);
+  Cell a2 =
+      ApplyPreparedConstraintToCell(corpus_, *bold, {*numeric}, a1, nullptr);
+  ASSERT_EQ(a2.assignments.size(), 1u);
+  EXPECT_EQ(a2.assignments[0].value.AsText(), "$619,000");
 }
 
 TEST_F(CellOpsTest, ScalarValuesVerifiedByText) {
@@ -157,16 +164,18 @@ TEST_F(CellOpsTest, ScalarValuesVerifiedByText) {
   ConstraintLit numeric;
   numeric.feature = "numeric";
   numeric.var = "v";
-  auto r = ApplyConstraintToCell(corpus_, *registry_, c, numeric, {});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->assignments.size(), 1u);
+  auto pk = Prepare(numeric);
+  ASSERT_TRUE(pk.ok());
+  Cell r = ApplyPreparedConstraintToCell(corpus_, *pk, {}, c, nullptr);
+  EXPECT_EQ(r.assignments.size(), 1u);
   // A markup feature cannot narrow a scalar: value kept (sound).
   ConstraintLit bold;
   bold.feature = "bold_font";
   bold.var = "v";
-  auto r2 = ApplyConstraintToCell(corpus_, *registry_, c, bold, {});
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->assignments.size(), 1u);
+  auto pk2 = Prepare(bold);
+  ASSERT_TRUE(pk2.ok());
+  Cell r2 = ApplyPreparedConstraintToCell(corpus_, *pk2, {}, c, nullptr);
+  EXPECT_EQ(r2.assignments.size(), 1u);
 }
 
 TEST_F(CellOpsTest, CompareCellsTriState) {

@@ -1,22 +1,21 @@
-// Contention stress for the morsel scheduler's per-worker state
-// (docs/RUNTIME.md): 8 OS threads hammer the VerifyMemoL1 / ReuseCacheL1
-// write-back fronts and the WorkerContextPool freelist against their
-// shared striped structures. Runs under the `scaling` ctest label and the
+// Contention stress for the session-shared structures the morsel scheduler
+// runs against (docs/RUNTIME.md): 8 OS threads hammer one striped
+// VerifyMemo and one striped ReuseCache, as concurrent morsels and
+// simulation executors do. Runs under the `scaling` ctest label and the
 // tsan-scaling preset — the invariants checked here (counter totals,
-// first-verdict-wins inserts, context recycling) must hold under every
-// interleaving, and TSan must see no races on the flush paths.
+// first-insert-wins, pointer stability) must hold under every
+// interleaving, and TSan must see no races on the stripes.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <string>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "ctable/compact_table.h"
 #include "exec/executor.h"
 #include "exec/verify_memo.h"
-#include "exec/worker_context.h"
 
 namespace iflex {
 namespace {
@@ -31,46 +30,56 @@ VerifyMemo::Key MakeKey(size_t i) {
   return k;
 }
 
-// The pure "verdict function" every thread agrees on: inserts for the
-// same key always carry the same verdict, like real Verify results over
-// a frozen corpus.
-int8_t VerdictOf(size_t i) { return static_cast<int8_t>(i % 2); }
+// A verdict only thread `t` would insert, so a later insert overwriting
+// an earlier one is visible in the stored value.
+int8_t VerdictOfThread(size_t t) { return static_cast<int8_t>(t % 3) - 1; }
 
-// 8 workers lease contexts from one pool, look up / insert overlapping
-// key ranges through their L1s, and flush at "morsel boundaries"
-// (Release). Afterwards the shared memo must hold every key exactly once
-// with the agreed verdict, and hits + misses must equal the total lookup
-// count — the L1 folds its local hits back, so no lookup is lost or
-// double-counted.
-TEST(ScalingStressTest, MemoL1FlushUnderContention) {
+// 8 threads look up overlapping key ranges of one memo and insert their
+// own verdict on a miss, reading it back right after. Every lookup is
+// counted exactly once (hits + misses == lookups), and the first insert
+// of a key wins: the verdict each thread reads back after its insert is
+// the one the memo holds at the end, and pre-seeded keys keep their
+// verdict against every thread's conflicting insert.
+TEST(ScalingStressTest, VerifyMemoCountsEveryLookupAndKeepsFirstVerdict) {
   constexpr size_t kKeys = 4096;
-  constexpr size_t kMorselsPerThread = 32;
-  constexpr size_t kLookupsPerMorsel = 512;
+  constexpr size_t kSeeded = 256;  // keys [0, kSeeded) hold verdict 1
+  constexpr size_t kRounds = 32;
+  constexpr size_t kLookupsPerRound = 512;
 
   VerifyMemo memo;
-  WorkerContextPool contexts;
-  contexts.BeginEpoch(&memo);
+  for (size_t i = 0; i < kSeeded; ++i) memo.Insert(MakeKey(i), 1);
 
+  struct ReadBack {
+    size_t key;
+    int8_t verdict;
+  };
+  std::vector<std::vector<ReadBack>> read_backs(kThreads);
   std::atomic<uint64_t> total_lookups{0};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       uint64_t lookups = 0;
-      for (size_t m = 0; m < kMorselsPerThread; ++m) {
-        WorkerContextLease lease(&contexts);
-        VerifyMemoL1* l1 = lease.get()->memo();
-        ASSERT_NE(l1, nullptr);
-        for (size_t i = 0; i < kLookupsPerMorsel; ++i) {
+      for (size_t r = 0; r < kRounds; ++r) {
+        for (size_t i = 0; i < kLookupsPerRound; ++i) {
           // Overlapping strided ranges: plenty of cross-thread key
-          // collisions, plenty of within-thread repeats (L1 hits).
-          size_t key = (t * 13 + m * 251 + i * 7) % kKeys;
-          auto verdict = l1->Lookup(MakeKey(key));
+          // collisions and within-thread repeats.
+          size_t key = (t * 13 + r * 251 + i * 7) % kKeys;
+          std::optional<int8_t> verdict = memo.Lookup(MakeKey(key));
           ++lookups;
-          if (verdict.has_value()) {
-            EXPECT_EQ(*verdict, VerdictOf(key));
-          } else {
-            l1->Insert(MakeKey(key), VerdictOf(key));
+          if (key < kSeeded) {
+            ASSERT_TRUE(verdict.has_value()) << "seeded key " << key;
+            EXPECT_EQ(*verdict, 1) << "seeded key " << key;
           }
+          if (verdict.has_value()) {
+            // A conflicting insert of a present key must change nothing.
+            memo.Insert(MakeKey(key), VerdictOfThread(t));
+            continue;
+          }
+          memo.Insert(MakeKey(key), VerdictOfThread(t));
+          std::optional<int8_t> stored = memo.Lookup(MakeKey(key));
+          ++lookups;
+          ASSERT_TRUE(stored.has_value()) << "key " << key;
+          read_backs[t].push_back({key, *stored});
         }
       }
       total_lookups.fetch_add(lookups, std::memory_order_relaxed);
@@ -78,115 +87,77 @@ TEST(ScalingStressTest, MemoL1FlushUnderContention) {
   }
   for (auto& th : threads) th.join();
 
-  EXPECT_LE(memo.size(), kKeys);
-  EXPECT_GT(memo.size(), 0u);
-  for (size_t i = 0; i < kKeys; ++i) {
-    auto v = memo.Lookup(MakeKey(i));
-    if (v.has_value()) EXPECT_EQ(*v, VerdictOf(i)) << "key " << i;
+  uint64_t final_lookups = 0;
+  for (size_t i = 0; i < kSeeded; ++i) {
+    EXPECT_EQ(memo.Lookup(MakeKey(i)), std::optional<int8_t>(1));
+    ++final_lookups;
   }
-  // The verification loop above added kKeys lookups of its own.
-  EXPECT_EQ(memo.hits() + memo.misses(),
-            total_lookups.load() + kKeys);
-  // Freelist bound: never more contexts than concurrently live leases.
-  EXPECT_LE(contexts.created(), kThreads);
+  size_t read_back_count = 0;
+  for (const std::vector<ReadBack>& reads : read_backs) {
+    for (const ReadBack& rb : reads) {
+      EXPECT_EQ(memo.Lookup(MakeKey(rb.key)),
+                std::optional<int8_t>(rb.verdict))
+          << "key " << rb.key;
+      ++final_lookups;
+      ++read_back_count;
+    }
+  }
+  EXPECT_GT(read_back_count, 0u);
+  EXPECT_LE(memo.size(), kKeys);
+  EXPECT_GT(memo.size(), kSeeded);
+  EXPECT_EQ(memo.hits() + memo.misses(), total_lookups.load() + final_lookups);
 }
 
-// Concurrent ReuseCacheL1 owners (one per simulated Execute) buffering
-// inserts for overlapping fingerprints, flushing on destruction. The
-// shared cache must end up with every fingerprint exactly once, carrying
-// one of the (identical, as in real deterministic execution) tables.
-TEST(ScalingStressTest, ReuseCacheL1FlushUnderContention) {
+// 8 threads insert overlapping fingerprints into one ReuseCache, each
+// with its own copy of the table (tagged by its tuple count, t + 1). The
+// first copy of a fingerprint wins, and every pointer Lookup returned
+// while peers kept inserting still points at that same copy afterwards.
+TEST(ScalingStressTest, ReuseCacheKeepsFirstCopyWithStablePointers) {
   constexpr size_t kFingerprints = 256;
   constexpr size_t kRounds = 16;
 
-  auto table_for = [](uint64_t fp) {
-    CompactTable t({"v"});
-    CompactTuple tup;
-    tup.cells.push_back(Cell::Exact(Value::Number(static_cast<double>(fp))));
-    t.Add(std::move(tup));
-    return t;
+  auto table_of_thread = [](size_t t) {
+    CompactTable table({"v"});
+    for (size_t i = 0; i <= t; ++i) {
+      CompactTuple tup;
+      tup.cells.push_back(Cell::Exact(Value::Number(static_cast<double>(i))));
+      table.Add(std::move(tup));
+    }
+    return table;
   };
 
+  struct Seen {
+    uint64_t fp;
+    const CompactTable* table;
+    size_t size;
+  };
   ReuseCache cache;
+  std::vector<std::vector<Seen>> seen(kThreads);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (size_t r = 0; r < kRounds; ++r) {
-        ReuseCacheL1 l1(&cache);
         for (size_t i = 0; i < kFingerprints; ++i) {
           uint64_t fp = (t * 31 + r * 17 + i) % kFingerprints;
-          const CompactTable* hit = l1.Lookup(fp);
-          if (hit != nullptr) {
-            ASSERT_EQ(hit->size(), 1u);
-            continue;
-          }
-          l1.Insert(fp, table_for(fp));
-          // The pending pointer must be stable and readable back.
-          const CompactTable* pending = l1.Lookup(fp);
-          ASSERT_NE(pending, nullptr);
-          EXPECT_EQ(pending->size(), 1u);
+          if (cache.Lookup(fp) == nullptr) cache.Insert(fp, table_of_thread(t));
+          const CompactTable* table = cache.Lookup(fp);
+          ASSERT_NE(table, nullptr) << "fingerprint " << fp;
+          seen[t].push_back({fp, table, table->size()});
         }
-      }  // ~ReuseCacheL1 flushes
+      }
     });
   }
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(cache.size(), kFingerprints);
-  for (uint64_t fp = 0; fp < kFingerprints; ++fp) {
-    const CompactTable* t = cache.Lookup(fp);
-    ASSERT_NE(t, nullptr) << "fingerprint " << fp;
-    EXPECT_EQ(t->size(), 1u);
+  for (const std::vector<Seen>& thread_seen : seen) {
+    for (const Seen& s : thread_seen) {
+      const CompactTable* table = cache.Lookup(s.fp);
+      ASSERT_NE(table, nullptr) << "fingerprint " << s.fp;
+      EXPECT_EQ(table, s.table) << "fingerprint " << s.fp;
+      EXPECT_EQ(table->size(), s.size) << "fingerprint " << s.fp;
+    }
   }
-}
-
-// Epoch semantics under churn: BeginEpoch between batches must rebind
-// every recycled context to the new memo and drop the old L1 state, even
-// while other threads are still acquiring.
-TEST(ScalingStressTest, ContextPoolEpochRebindsRecycledContexts) {
-  WorkerContextPool contexts;
-  VerifyMemo memo_a;
-  VerifyMemo memo_b;
-
-  contexts.BeginEpoch(&memo_a);
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (size_t i = 0; i < 64; ++i) {
-        WorkerContextLease lease(&contexts);
-        VerifyMemoL1* l1 = lease.get()->memo();
-        ASSERT_NE(l1, nullptr);
-        EXPECT_EQ(l1->shared(), &memo_a);
-        l1->Insert(MakeKey(i), VerdictOf(i));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  contexts.BeginEpoch(&memo_b);
-  threads.clear();
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (size_t i = 0; i < 64; ++i) {
-        WorkerContextLease lease(&contexts);
-        VerifyMemoL1* l1 = lease.get()->memo();
-        ASSERT_NE(l1, nullptr);
-        // Recycled contexts must have been rebound, never still pointing
-        // at the previous epoch's memo.
-        EXPECT_EQ(l1->shared(), &memo_b);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  // Epoch A's flushed inserts stayed in memo A; none leaked into B.
-  EXPECT_GT(memo_a.size(), 0u);
-  EXPECT_EQ(memo_b.size(), 0u);
-
-  // A null epoch detaches: memo() reports no front, preserving the
-  // legacy no-memo behavior in cell ops.
-  contexts.BeginEpoch(nullptr);
-  WorkerContextLease lease(&contexts);
-  EXPECT_EQ(lease.get()->memo(), nullptr);
 }
 
 }  // namespace

@@ -42,9 +42,9 @@ Result<Document> MakeDoc(Rng* rng) {
 
 class SupersetPropertyTest : public ::testing::TestWithParam<int> {};
 
-// Property: ApplyConstraintToCell never loses a satisfying value. Every
-// token-aligned sub-span that Verify accepts must still be encoded by the
-// narrowed cell.
+// Property: ApplyPreparedConstraintToCell never loses a satisfying value.
+// Every token-aligned sub-span that Verify accepts must still be encoded
+// by the narrowed cell.
 TEST_P(SupersetPropertyTest, ConstraintNarrowingIsSound) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 977 + 13);
   Corpus corpus;
@@ -83,8 +83,10 @@ TEST_P(SupersetPropertyTest, ConstraintNarrowingIsSound) {
     k.var = "v";
     k.param = c.param;
     k.value = c.value;
-    auto narrowed = ApplyConstraintToCell(corpus, *registry, cell, k, {});
-    ASSERT_TRUE(narrowed.ok()) << c.feature;
+    auto pk = PrepareConstraint(corpus, *registry, k, /*want_memo=*/false);
+    ASSERT_TRUE(pk.ok()) << c.feature;
+    Cell narrowed =
+        ApplyPreparedConstraintToCell(corpus, *pk, {}, cell, nullptr);
 
     // Brute force: all satisfying token-aligned sub-spans.
     const Document& document = corpus.Get(d);
@@ -93,7 +95,7 @@ TEST_P(SupersetPropertyTest, ConstraintNarrowingIsSound) {
         document.EnumerateSubSpans(document.FullSpan(), 100000, &all));
     const Feature* feature = *registry->Get(c.feature);
     std::vector<Value> encoded;
-    narrowed->EnumerateValues(corpus, 1000000, &encoded);
+    narrowed.EnumerateValues(corpus, 1000000, &encoded);
     for (const Span& s : all) {
       if (!feature->Verify(document, s, c.param, c.value)) continue;
       bool found = false;
